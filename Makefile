@@ -112,7 +112,7 @@ bench:
 # and the saturation knee; write BENCH_$(PR).json and gate against the
 # highest-numbered committed BENCH_*.json with noise-tolerant thresholds
 # (exit 1 on regression). Bump PR per stacked change: make bench-trajectory PR=9
-PR ?= 10
+PR ?= 12
 bench-trajectory:
 	$(GO) run ./cmd/benchreport -pr $(PR) -check -against auto
 

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
+	"slices"
 	"strings"
 
 	"tqsim/internal/qmath"
@@ -171,15 +172,14 @@ func (g Gate) Validate() error {
 			return fmt.Errorf("gate: %s needs %d params, got %d", g.Kind, want, got)
 		}
 	}
-	seen := map[int]bool{}
-	for _, q := range g.Qubits {
+	// Arity is at most 3 here, so a pairwise scan beats a set.
+	for i, q := range g.Qubits {
 		if q < 0 {
 			return fmt.Errorf("gate: %s has negative qubit %d", g.Kind, q)
 		}
-		if seen[q] {
+		if slices.Contains(g.Qubits[:i], q) {
 			return fmt.Errorf("gate: %s touches qubit %d twice", g.Kind, q)
 		}
-		seen[q] = true
 	}
 	return nil
 }

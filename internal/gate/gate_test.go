@@ -182,6 +182,44 @@ func TestValidationErrors(t *testing.T) {
 	}
 }
 
+func TestValidationErrorText(t *testing.T) {
+	cases := []struct {
+		g    Gate
+		want string
+	}{
+		{Gate{Kind: KindCX, Qubits: []int{1, 1}}, "gate: cx touches qubit 1 twice"},
+		{Gate{Kind: KindCCX, Qubits: []int{0, 2, 0}}, "gate: ccx touches qubit 0 twice"},
+		{Gate{Kind: KindCSWAP, Qubits: []int{0, 2, 2}}, "gate: cswap touches qubit 2 twice"},
+		{Gate{Kind: KindCCX, Qubits: []int{3, -1, 3}}, "gate: ccx has negative qubit -1"},
+		{Gate{Kind: KindCX, Qubits: []int{2, -2}}, "gate: cx has negative qubit -2"},
+	}
+	for _, c := range cases {
+		err := c.g.Validate()
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%v: Validate() = %v, want %q", c.g.Qubits, err, c.want)
+		}
+	}
+}
+
+func TestValidateDoesNotAllocate(t *testing.T) {
+	u := qmath.Identity(4)
+	gates := []Gate{
+		New(KindH, 3),
+		NewParam(KindCP, []float64{0.5}, 2, 7),
+		New(KindCCX, 0, 4, 1),
+		NewUnitary(u, "u2", 5, 6),
+	}
+	for _, g := range gates {
+		if n := testing.AllocsPerRun(100, func() {
+			if err := g.Validate(); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%v: Validate allocates %v times per call, want 0", g, n)
+		}
+	}
+}
+
 func TestStringFormat(t *testing.T) {
 	g := NewParam(KindCP, []float64{0.5}, 2, 7)
 	want := "cp(0.5) q[2],q[7]"
@@ -216,5 +254,14 @@ func TestKindMetadata(t *testing.T) {
 	}
 	if KindCX.String() != "cx" || KindSdg.String() != "sdg" {
 		t.Fatal("name table wrong")
+	}
+}
+
+func BenchmarkValidate(b *testing.B) {
+	g := New(KindCCX, 0, 4, 1)
+	for b.Loop() {
+		if err := g.Validate(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -581,6 +581,9 @@ type job struct {
 	opt     tqsim.Options
 	shots   int
 	mode    string
+	// digest is the circuit's structural digest, computed once in prepare
+	// and shared by the plan-cache key and the result-store key.
+	digest string
 	// batchSize is the per-batch shot count; 0 runs one batch. Batches are
 	// never materialized as a slice: a max-shots job at batch size 1 is
 	// millions of batches but only two distinct sizes, so plans are held
@@ -685,6 +688,7 @@ func (s *Server) prepare(req *JobRequest) (*job, *httpError) {
 
 	j := &job{
 		circuit:    c,
+		digest:     tqsim.CircuitDigest(c),
 		noise:      m,
 		shots:      req.Shots,
 		mode:       mode,
@@ -718,7 +722,7 @@ func (s *Server) prepare(req *JobRequest) (*job, *httpError) {
 
 	// Plan the (at most two) distinct batch sizes: the full batch and the
 	// ragged last one.
-	hash := circuitHash(c, noiseName, mode, &j.opt)
+	hash := circuitHash(j.digest, noiseName, mode, &j.opt)
 	n := j.numBatches()
 	for _, i := range []int{0, n - 1} {
 		size := j.batchShots(i)
@@ -817,10 +821,10 @@ func (s *Server) planBatch(hash string, c *tqsim.Circuit, m *tqsim.NoiseModel, s
 // to name/width/length when serialization failed, so two same-shape
 // circuits differing only in an explicit unitary collided and the second
 // silently executed the first one's cached plan (and its gate list).
-func circuitHash(c *tqsim.Circuit, noiseName, mode string, opt *tqsim.Options) string {
+func circuitHash(digest, noiseName, mode string, opt *tqsim.Options) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "%s\x00%s\x00%s\x00%g\x00%d\x00%d\x00%s\x00%d\x00%d\x00%g",
-		tqsim.CircuitDigest(c), noiseName, mode, opt.CopyCost, opt.MaxLevels, opt.MemoryBudgetBytes,
+		digest, noiseName, mode, opt.CopyCost, opt.MaxLevels, opt.MemoryBudgetBytes,
 		opt.Backend, opt.ClusterNodes, opt.Parallelism, opt.Epsilon)
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -22,8 +22,6 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
-
-	"tqsim"
 )
 
 // jobResultKey derives a job's store identity from the pinned wire request
@@ -37,7 +35,7 @@ func jobResultKey(j *job) string {
 	w := j.wire
 	h := sha256.New()
 	fmt.Fprintf(h, "tqsim-result-v1\x00%s\x00%s\x00%s\x00%s\x00%s\x00%d\x00%d\x00%d\x00%g\x00%d\x00%d\x00%d\x00%g\x00%d",
-		tqsim.CircuitDigest(j.circuit), j.circuit.Name, w.Noise, w.Mode, w.Backend,
+		j.digest, j.circuit.Name, w.Noise, w.Mode, w.Backend,
 		w.Shots, w.Seed, w.BatchShots, w.CopyCost, w.MaxLevels, w.MemoryBudgetBytes,
 		w.Parallelism, w.Epsilon, w.ClusterNodes)
 	return hex.EncodeToString(h.Sum(nil))

@@ -429,12 +429,12 @@ func TestCircuitHashDistinguishesUnitaries(t *testing.T) {
 		t.Skip("unitary gates became serializable; the fallback no longer applies")
 	}
 	opt := &tqsim.Options{Backend: tqsim.AutoBackend}
-	ha := circuitHash(a, "DC", "tqsim", opt)
-	hb := circuitHash(b, "DC", "tqsim", opt)
+	ha := circuitHash(tqsim.CircuitDigest(a), "DC", "tqsim", opt)
+	hb := circuitHash(tqsim.CircuitDigest(b), "DC", "tqsim", opt)
 	if ha == hb {
 		t.Fatal("same-shape circuits with different unitaries share a plan-cache key")
 	}
-	if ha != circuitHash(build(1i), "DC", "tqsim", opt) {
+	if ha != circuitHash(tqsim.CircuitDigest(build(1i)), "DC", "tqsim", opt) {
 		t.Fatal("circuitHash is not deterministic")
 	}
 }
@@ -546,5 +546,29 @@ func TestPlanCacheStatsConsistentUnderEviction(t *testing.T) {
 	}
 	if st.PlanCacheEntries > 4 {
 		t.Fatalf("plan cache over its cap: %d entries", st.PlanCacheEntries)
+	}
+}
+
+// TestJobKeysPinned pins the plan-cache key and the result-store key of one
+// fixed request. prepare computes the circuit digest once and feeds both;
+// the hex must not move, or stored records stop replaying. Parallelism and
+// the memory budget are explicit so neither key depends on the host.
+func TestJobKeysPinned(t *testing.T) {
+	s := New(Config{})
+	req := JobRequest{Circuit: "qft_n8", Noise: "DC", Shots: 1000, Seed: 7, BatchShots: 250,
+		CopyCost: 5, Parallelism: 1, MemoryBudgetBytes: 1 << 30}
+	j, herr := s.prepare(&req)
+	if herr != nil {
+		t.Fatal(herr.msg)
+	}
+	const (
+		wantPlan   = "cd2041d3fc18e0feb46403acdb5e149c52bee476fb8b5f1cafe716fe47fa0931"
+		wantResult = "00420e54cbb9485381208aaff5b893e3e7fe4285d4b333ba80a567cf6f453940"
+	)
+	if got := circuitHash(j.digest, j.wire.Noise, j.mode, &j.opt); got != wantPlan {
+		t.Errorf("plan-cache key %s, want %s", got, wantPlan)
+	}
+	if got := jobResultKey(j); got != wantResult {
+		t.Errorf("result-store key %s, want %s", got, wantResult)
 	}
 }

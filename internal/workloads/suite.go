@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"tqsim/internal/circuit"
 	"tqsim/internal/graphs"
@@ -29,80 +30,125 @@ func defaultQAOALayers() []QAOAParams {
 	return []QAOAParams{{Gamma: 0.7, Beta: 0.3}, {Gamma: 0.4, Beta: 0.6}}
 }
 
-// Suite generates the full 48-circuit benchmark suite of Table 2: eight
-// classes with six instances each, spanning 4 to 25 qubits. maxQubits > 0
-// filters out wider circuits (the artifact's default subset uses 13).
-func Suite(maxQubits int) []Bench {
-	var out []Bench
-	add := func(class string, c *circuit.Circuit) {
-		if maxQubits > 0 && c.NumQubits > maxQubits {
-			return
-		}
-		out = append(out, Bench{Class: class, Circuit: c})
+// entry is one suite circuit in the catalogue: its conventional name and
+// class, declared up front, and the constructor that builds it. memo is the
+// circuit ByName built on the entry's first request.
+type entry struct {
+	name  string
+	class string
+	build func() *circuit.Circuit
+
+	once sync.Once
+	memo *circuit.Circuit
+}
+
+// catalogue is the 48-circuit benchmark suite of Table 2 in presentation
+// order: eight classes with six instances each, spanning 4 to 25 qubits.
+// Declaring an entry builds nothing.
+var catalogue = buildCatalogue()
+
+// byName indexes catalogue by conventional name.
+var byName = func() map[string]*entry {
+	m := make(map[string]*entry, len(catalogue))
+	for _, e := range catalogue {
+		m[e.name] = e
+	}
+	return m
+}()
+
+func buildCatalogue() []*entry {
+	var out []*entry
+	add := func(name string, build func() *circuit.Circuit) {
+		out = append(out, &entry{name: name, class: ClassOf(name), build: build})
 	}
 
 	// ADDER: three input variants at 4 and 10 qubits.
 	for v, io := range [][2]uint64{{0, 1}, {1, 1}, {1, 0}} {
-		add("adder", Adder(1, io[0], io[1], v))
+		add(fmt.Sprintf("adder_n4_%d", v), func() *circuit.Circuit { return Adder(1, io[0], io[1], v) })
 	}
 	for v, io := range [][2]uint64{{5, 9}, {15, 1}, {7, 7}} {
-		add("adder", Adder(4, io[0], io[1], v))
+		add(fmt.Sprintf("adder_n10_%d", v), func() *circuit.Circuit { return Adder(4, io[0], io[1], v) })
 	}
 
 	// BV: widths 6..16 with alternating-bit secrets.
 	for _, w := range []int{6, 8, 10, 12, 14, 16} {
-		add("bv", BV(w, BVSecret(w)))
+		add(fmt.Sprintf("bv_n%d", w), func() *circuit.Circuit { return BV(w, BVSecret(w)) })
 	}
 
 	// MUL: (3,3) at 13 qubits, four input variants of (3,4) at 15 qubits,
 	// and (6,6) at 25 qubits. Native controlled phases keep the gate
 	// counts in Table 2's band (92-1477).
-	add("mul", Mul(3, 3, 3, 5, false, -1))
+	add("mul_n13", func() *circuit.Circuit { return Mul(3, 3, 3, 5, false, -1) })
 	for v, io := range [][2]uint64{{3, 11}, {5, 9}, {7, 13}, {6, 10}} {
-		add("mul", Mul(3, 4, io[0], io[1], false, v))
+		add(fmt.Sprintf("mul_n15_%d", v), func() *circuit.Circuit { return Mul(3, 4, io[0], io[1], false, v) })
 	}
-	add("mul", Mul(6, 6, 27, 45, false, -1))
+	add("mul_n25", func() *circuit.Circuit { return Mul(6, 6, 27, 45, false, -1) })
 
 	// QAOA: widths 6..15 on seeded random graphs, two layers.
 	for _, w := range []int{6, 8, 9, 11, 13, 15} {
-		add("qaoa", QAOA(qaoaGraph(w), defaultQAOALayers()))
+		add(fmt.Sprintf("qaoa_n%d", w), func() *circuit.Circuit { return QAOA(qaoaGraph(w), defaultQAOALayers()) })
 	}
 
 	// QFT: widths 8..18, decomposed.
 	for _, w := range []int{8, 10, 12, 14, 16, 18} {
-		add("qft", QFT(w, true))
+		add(fmt.Sprintf("qft_n%d", w), func() *circuit.Circuit { return QFT(w, true) })
 	}
 
 	// QPE: widths 4..16 (counting = width-1); the two 9-qubit variants
 	// differ in controlled-phase decomposition, as in the paper.
-	add("qpe", QPE(3, QPEPhase, true, -1))
-	add("qpe", QPE(5, QPEPhase, true, -1))
-	add("qpe", QPE(8, QPEPhase, true, 0))
-	add("qpe", QPE(8, QPEPhase, false, 1))
-	add("qpe", QPE(10, QPEPhase, true, -1))
-	add("qpe", QPE(15, QPEPhase, true, -1))
+	add("qpe_n4", func() *circuit.Circuit { return QPE(3, QPEPhase, true, -1) })
+	add("qpe_n6", func() *circuit.Circuit { return QPE(5, QPEPhase, true, -1) })
+	add("qpe_n9_0", func() *circuit.Circuit { return QPE(8, QPEPhase, true, 0) })
+	add("qpe_n9_1", func() *circuit.Circuit { return QPE(8, QPEPhase, false, 1) })
+	add("qpe_n11", func() *circuit.Circuit { return QPE(10, QPEPhase, true, -1) })
+	add("qpe_n16", func() *circuit.Circuit { return QPE(15, QPEPhase, true, -1) })
 
 	// QSC: widths 8..16, depth tuned to the paper's gate counts.
 	for _, w := range []int{8, 9, 10, 12, 15, 16} {
-		add("qsc", QSC(w, QSCDepthFor(w), uint64(w)*31))
+		add(fmt.Sprintf("qsc_n%d", w), func() *circuit.Circuit { return QSC(w, QSCDepthFor(w), uint64(w)*31) })
 	}
 
 	// QV: widths 10..20 at the canonical depth.
 	for _, w := range []int{10, 12, 14, 16, 18, 20} {
-		add("qv", QV(w, QVDefaultDepth, false, uint64(w)*97))
+		add(fmt.Sprintf("qv_n%d", w), func() *circuit.Circuit { return QV(w, QVDefaultDepth, false, uint64(w)*97) })
 	}
 	return out
 }
 
-// ByName regenerates a single suite circuit from its conventional name
-// (e.g. "qft_n14", "adder_n4_1"). It returns nil when the name is unknown.
-func ByName(name string) *circuit.Circuit {
-	for _, b := range Suite(0) {
-		if b.Circuit.Name == name {
-			return b.Circuit
+// Suite builds the full benchmark suite afresh, in catalogue order.
+// maxQubits > 0 filters out wider circuits (the artifact's default subset
+// uses 13).
+func Suite(maxQubits int) []Bench {
+	var out []Bench
+	for _, e := range catalogue {
+		c := e.build()
+		if maxQubits > 0 && c.NumQubits > maxQubits {
+			continue
 		}
+		out = append(out, Bench{Class: e.class, Circuit: c})
 	}
-	return nil
+	return out
+}
+
+// ByName returns one suite circuit by its conventional name (e.g.
+// "qft_n14", "adder_n4_1"), or nil when the name is unknown. Only the named
+// circuit is built, on its first request, and kept; every call returns a
+// Clone of it. The clone's gate list is the caller's to append to or
+// overwrite, but each gate's operand slices (Qubits, Params, U) are shared
+// with the kept circuit and must not be mutated. Safe for concurrent use.
+func ByName(name string) *circuit.Circuit {
+	e := byName[name]
+	if e == nil {
+		return nil
+	}
+	return e.clone()
+}
+
+// clone returns a Clone of the entry's circuit, building it first if no
+// earlier call has.
+func (e *entry) clone() *circuit.Circuit {
+	e.once.Do(func() { e.memo = e.build() })
+	return e.memo.Clone()
 }
 
 // ClassOf returns the class prefix of a benchmark name.

@@ -88,8 +88,11 @@ func QVCircuit(width int, seed uint64) *Circuit {
 // The suite is fixed: repeated calls regenerate gate-identical circuits.
 func BenchmarkSuite(maxQubits int) []Benchmark { return workloads.Suite(maxQubits) }
 
-// BenchmarkByName regenerates one suite circuit from its conventional name
-// (e.g. "qft_n14"); nil when unknown.
+// BenchmarkByName returns one suite circuit by its conventional name (e.g.
+// "qft_n14"); nil when unknown. Only the named circuit is built, once per
+// process, and each call returns a fresh copy of its gate list: appending
+// to or overwriting Gates is safe, but the gates' Qubits, Params and U are
+// shared with every other copy and must not be mutated.
 func BenchmarkByName(name string) *Circuit { return workloads.ByName(name) }
 
 // Graph constructors for the QAOA workloads (Figure 18's three families).
